@@ -1,0 +1,45 @@
+package main
+
+import (
+	"math"
+	"sort"
+	"time"
+)
+
+// quantile returns the q-quantile (0 ≤ q ≤ 1) of xs by linear interpolation
+// between the closest ranks; 0 for an empty slice. xs is not modified.
+func quantile(xs []float64, q float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	pos := q * float64(len(s)-1)
+	lo := int(math.Floor(pos))
+	hi := int(math.Ceil(pos))
+	return s[lo] + (s[hi]-s[lo])*(pos-float64(lo))
+}
+
+func median(xs []float64) float64 { return quantile(xs, 0.5) }
+
+func mean(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	var sum float64
+	for _, x := range xs {
+		sum += x
+	}
+	return sum / float64(len(xs))
+}
+
+// ms converts a duration to float milliseconds.
+func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+
+// ratio is a/b, or 0 when b is 0, so no metric is ever NaN or Inf.
+func ratio(a, b float64) float64 {
+	if b == 0 {
+		return 0
+	}
+	return a / b
+}
