@@ -1,7 +1,7 @@
 package mnn_test
 
 // One testing.B benchmark family per table and figure of the paper's
-// evaluation (DESIGN.md's per-experiment index). `go test -bench=.` gives
+// evaluation, in the paper's order. `go test -bench=.` gives
 // host numbers for the measured experiments and drives the Equation 5
 // simulator for the device-labelled ones; `cmd/mnnbench` prints the same
 // data as paper-shaped tables.
@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"testing"
+	"time"
 
 	"mnn"
 	"mnn/internal/bench"
@@ -25,52 +26,29 @@ import (
 
 func BenchmarkTable1(b *testing.B) {
 	for _, c := range bench.Table1Cases {
-		for _, scheme := range []string{"sliding", "wino2", "wino6", "ours"} {
-			name := fmt.Sprintf("conv%dx%d_ic%d_oc%d_%d/%s", c.K, c.K, c.IC, c.OC, c.Size, scheme)
-			b.Run(name, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := bench.Table1Measure(c, scheme, 1, 1); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(fmt.Sprintf("conv%dx%d_ic%d_oc%d_%d", c.K, c.K, c.IC, c.OC, c.Size), func(b *testing.B) {
+			var row []time.Duration
+			for i := 0; i < b.N; i++ {
+				var err error
+				if row, err = bench.Table1Row(c, 1, 1); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+			for i, d := range row {
+				b.ReportMetric(float64(d.Nanoseconds()), bench.Table1Schemes[i]+"-ns")
+			}
+		})
 	}
 }
 
 // --- Table 2: preparation–execution decoupling --------------------------
 
 func BenchmarkTable2Decoupled(b *testing.B) {
-	g := models.MobileNetV1()
-	sess, err := mnn.NewInterpreter(g).CreateSession(mnn.Config{Threads: 4})
-	if err != nil {
-		b.Fatal(err)
-	}
-	fillInput(b, sess, "data")
-	if err := sess.Run(); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := sess.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
+	runInferInto(b, models.MobileNetV1(), mnn.WithThreads(4))
 }
 
 func BenchmarkTable2NoPreparation(b *testing.B) {
-	g := models.MobileNetV1()
-	sess, err := mnn.NewInterpreter(g).CreateSession(mnn.Config{Threads: 4, NoPreparation: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	fillInput(b, sess, "data")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := sess.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
+	runInferInto(b, models.MobileNetV1(), mnn.WithThreads(4), mnn.WithoutPreparation())
 }
 
 // --- Table 3: Strassen matmul -------------------------------------------
@@ -109,9 +87,11 @@ func BenchmarkTable5PreInference(b *testing.B) {
 	g := models.ResNet18()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := mnn.NewInterpreter(g).CreateSession(mnn.Config{Threads: 4}); err != nil {
+		eng, err := mnn.Open(g, mnn.WithThreads(4))
+		if err != nil {
 			b.Fatal(err)
 		}
+		eng.Close()
 	}
 }
 
@@ -132,21 +112,7 @@ func BenchmarkTable6FleetSim(b *testing.B) {
 // --- Table 7: MLPerf single-stream ---------------------------------------
 
 func BenchmarkTable7SingleStream(b *testing.B) {
-	g := models.MobileNetV2()
-	sess, err := mnn.NewInterpreter(g).CreateSession(mnn.Config{Threads: 4})
-	if err != nil {
-		b.Fatal(err)
-	}
-	fillInput(b, sess, "data")
-	if err := sess.Run(); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := sess.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
+	runInferInto(b, models.MobileNetV2(), mnn.WithThreads(4))
 }
 
 // --- Table 8: Pixel CPU comparison ---------------------------------------
@@ -248,31 +214,38 @@ func BenchmarkInference(b *testing.B) {
 				if err := mnn.Optimize(g); err != nil {
 					b.Fatal(err)
 				}
-				sess, err := mnn.NewInterpreter(g).CreateSession(mnn.Config{Threads: threads})
-				if err != nil {
-					b.Fatal(err)
-				}
-				fillInput(b, sess, "data")
-				if err := sess.Run(); err != nil {
-					b.Fatal(err)
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := sess.Run(); err != nil {
-						b.Fatal(err)
-					}
-				}
+				runInferInto(b, g, mnn.WithThreads(threads))
 			})
 		}
 	}
 }
 
-func fillInput(b *testing.B, sess *mnn.Session, name string) {
+// runInferInto opens g, fills every input with random data, warms up with
+// one Infer whose results become the output buffers, and then times InferInto.
+func runInferInto(b *testing.B, g *mnn.Graph, opts ...mnn.Option) {
 	b.Helper()
-	in := sess.Input(name)
-	tmp := tensor.New(in.Shape()...)
-	tensor.FillRandom(tmp, 1, 1)
-	in.CopyFrom(tmp)
+	eng, err := mnn.Open(g, opts...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer eng.Close()
+	inputs := map[string]*mnn.Tensor{}
+	for _, name := range eng.InputNames() {
+		in := tensor.New(eng.InputShape(name)...)
+		tensor.FillRandom(in, 1, 1)
+		inputs[name] = in
+	}
+	ctx := context.Background()
+	outputs, err := eng.Infer(ctx, inputs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := eng.InferInto(ctx, inputs, outputs); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // --- Engine.Infer steady state (PR 3's throughput headline) ---------------

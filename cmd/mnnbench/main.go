@@ -16,8 +16,8 @@
 // Host-measured experiments (Tables 1–3, 7, ablations) time this
 // repository's kernels on the local machine; device-labelled experiments
 // (Figures 7–9, Tables 5, 6, 8) use the Equation 5 simulator with the
-// paper's Appendix C device constants — see DESIGN.md for the substitution
-// rationale.
+// paper's Appendix C device constants, because the paper's phones are not
+// available to run on (README "Simulated devices").
 package main
 
 import (

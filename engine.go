@@ -26,7 +26,7 @@ import (
 	"mnn/internal/tuner"
 )
 
-// Engine is the concurrent v2 facade over the paper's prepared-session
+// Engine is the concurrent facade over the paper's prepared-session
 // design. Open runs the full pre-inference (shape inference, Equation 4–5
 // backend selection, Equation 2–3 scheme selection, Figure 3 memory
 // planning, constant pre-computation) once per pooled session; Infer is then
@@ -397,22 +397,9 @@ func scoredAssignment(g *graph.Graph, shapes graph.ShapeMap, cfg engineConfig) (
 // shape (ErrInputShape otherwise); returned tensors are fresh NCHW copies
 // owned by the caller. A cancelled or expired ctx aborts promptly — while
 // queueing, or between pipeline operators mid-run — with ErrCancelled.
-func (e *Engine) Infer(ctx context.Context, inputs map[string]*Tensor) (out map[string]*Tensor, err error) {
-	s, err := e.checkout(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer func() { e.finish(s, recover(), &err) }()
-	if err := e.faultHit(); err != nil {
-		return nil, err
-	}
-	if err := e.fillInputs(s, inputs); err != nil {
-		return nil, err
-	}
-	if err := s.Run(ctx); err != nil {
-		return nil, e.wrapRunErr(err)
-	}
-	return e.copyOutputs(s), nil
+func (e *Engine) Infer(ctx context.Context, inputs map[string]*Tensor) (map[string]*Tensor, error) {
+	out, _, err := e.infer(ctx, inputs, nil, false)
+	return out, err
 }
 
 // InferInto is Infer writing results into caller-provided output tensors
@@ -421,55 +408,64 @@ func (e *Engine) Infer(ctx context.Context, inputs map[string]*Tensor) (out map[
 // planner-backed workspaces and the persistent worker pool this makes
 // steady-state inference fully allocation-free — the serving tier reuses
 // response buffers across requests instead of feeding the GC.
-func (e *Engine) InferInto(ctx context.Context, inputs, outputs map[string]*Tensor) (err error) {
+func (e *Engine) InferInto(ctx context.Context, inputs, outputs map[string]*Tensor) error {
+	if outputs == nil {
+		// nil selects infer's fresh-copy mode; an empty map fails its
+		// output validation instead.
+		outputs = map[string]*Tensor{}
+	}
+	_, _, err := e.infer(ctx, inputs, outputs, false)
+	return err
+}
+
+// InferProfiled is Infer with a per-operator timing breakdown.
+func (e *Engine) InferProfiled(ctx context.Context, inputs map[string]*Tensor) (map[string]*Tensor, *Profile, error) {
+	return e.infer(ctx, inputs, nil, true)
+}
+
+// infer is the one inference body behind Infer, InferInto and InferProfiled:
+// check out a session, evaluate the engine.infer fault site, fill the
+// inputs, run the session (profiled on request) and hand the results out —
+// into outputs when non-nil, as fresh NCHW copies otherwise.
+func (e *Engine) infer(ctx context.Context, inputs, outputs map[string]*Tensor, profiled bool) (out map[string]*Tensor, prof *Profile, err error) {
 	s, err := e.checkout(ctx)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	defer func() { e.finish(s, recover(), &err) }()
 	if err := e.faultHit(); err != nil {
-		return err
+		return nil, nil, err
 	}
 	if err := e.fillInputs(s, inputs); err != nil {
-		return err
+		return nil, nil, err
 	}
-	for _, name := range e.outputNames {
-		dst := outputs[name]
-		if dst == nil {
-			return fmt.Errorf("%w: missing output tensor %q (model outputs: %v)", ErrInputShape, name, e.outputNames)
-		}
-		if !tensor.EqualShape(dst.Shape(), s.Output(name).Shape()) {
-			return fmt.Errorf("%w: output %q has shape %v, engine produces %v",
-				ErrInputShape, name, dst.Shape(), s.Output(name).Shape())
+	if outputs != nil {
+		for _, name := range e.outputNames {
+			dst := outputs[name]
+			if dst == nil {
+				return nil, nil, fmt.Errorf("%w: missing output tensor %q (model outputs: %v)", ErrInputShape, name, e.outputNames)
+			}
+			if !tensor.EqualShape(dst.Shape(), s.Output(name).Shape()) {
+				return nil, nil, fmt.Errorf("%w: output %q has shape %v, engine produces %v",
+					ErrInputShape, name, dst.Shape(), s.Output(name).Shape())
+			}
 		}
 	}
-	if err := s.Run(ctx); err != nil {
-		return e.wrapRunErr(err)
+	if profiled {
+		prof, err = s.RunProfiled(ctx)
+	} else {
+		err = s.Run(ctx)
+	}
+	if err != nil {
+		return nil, nil, e.wrapRunErr(err)
+	}
+	if outputs == nil {
+		return e.copyOutputs(s), prof, nil
 	}
 	for _, name := range e.outputNames {
 		outputs[name].CopyFrom(s.Output(name))
 	}
-	return nil
-}
-
-// InferProfiled is Infer with a per-operator timing breakdown.
-func (e *Engine) InferProfiled(ctx context.Context, inputs map[string]*Tensor) (out map[string]*Tensor, prof *Profile, err error) {
-	s, err := e.checkout(ctx)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer func() { e.finish(s, recover(), &err) }()
-	if err := e.faultHit(); err != nil {
-		return nil, nil, err
-	}
-	if err := e.fillInputs(s, inputs); err != nil {
-		return nil, nil, err
-	}
-	p, err := s.RunProfiled(ctx)
-	if err != nil {
-		return nil, nil, e.wrapRunErr(err)
-	}
-	return e.copyOutputs(s), p, nil
+	return nil, nil, nil
 }
 
 // faultHit evaluates the engine.infer injection site (nil injector: one

@@ -49,51 +49,70 @@ func TestEngineInjectedError(t *testing.T) {
 	}
 }
 
-// TestEngineKernelPanicContained drives a panic out of a kernel dispatch and
-// asserts the full containment chain: typed error with op identity and
-// stack, the poisoned session rebuilt, and the engine healthy afterwards.
+// TestEngineKernelPanicContained drives a panic out of a kernel dispatch
+// through every inference entry point and asserts the full containment
+// chain: typed error with op identity and stack, the poisoned session
+// rebuilt, and the engine healthy afterwards.
 func TestEngineKernelPanicContained(t *testing.T) {
 	leakcheck.Check(t)
-	for _, threads := range []int{1, 4} {
-		eng, err := mnn.Open(tinyModel(t), mnn.WithThreads(threads),
-			mnn.WithFaultPlan(faultPlan(t, 1, "session.kernel=panic,count=1,match=conv1")))
-		if err != nil {
-			t.Fatal(err)
+	entries := []struct {
+		name  string
+		infer func(*mnn.Engine, map[string]*mnn.Tensor) error
+	}{
+		{"Infer", func(e *mnn.Engine, in map[string]*mnn.Tensor) error {
+			_, err := e.Infer(context.Background(), in)
+			return err
+		}},
+		{"InferInto", func(e *mnn.Engine, in map[string]*mnn.Tensor) error {
+			return e.InferInto(context.Background(), in, map[string]*mnn.Tensor{"prob": tensor.New(1, 16)})
+		}},
+		{"InferProfiled", func(e *mnn.Engine, in map[string]*mnn.Tensor) error {
+			_, _, err := e.InferProfiled(context.Background(), in)
+			return err
+		}},
+	}
+	for _, entry := range entries {
+		for _, threads := range []int{1, 4} {
+			eng, err := mnn.Open(tinyModel(t), mnn.WithThreads(threads),
+				mnn.WithFaultPlan(faultPlan(t, 1, "session.kernel=panic,count=1,match=conv1")))
+			if err != nil {
+				t.Fatal(err)
+			}
+			in := tinyInput(t)
+			err = entry.infer(eng, in)
+			if !errors.Is(err, mnn.ErrKernelPanic) {
+				t.Fatalf("%s threads=%d: err = %v, want ErrKernelPanic", entry.name, threads, err)
+			}
+			var kp *mnn.KernelPanicError
+			if !errors.As(err, &kp) {
+				t.Fatalf("%s threads=%d: error %v is not a *KernelPanicError", entry.name, threads, err)
+			}
+			if kp.Op != "conv1" {
+				t.Fatalf("%s threads=%d: panic attributed to op %q, want conv1", entry.name, threads, kp.Op)
+			}
+			if len(kp.Stack) == 0 || !strings.Contains(string(kp.Stack), "goroutine") {
+				t.Fatalf("%s threads=%d: KernelPanicError has no usable stack", entry.name, threads)
+			}
+			if n := eng.KernelPanics(); n != 1 {
+				t.Fatalf("%s threads=%d: KernelPanics = %d, want 1", entry.name, threads, n)
+			}
+			if n := eng.SessionRebuilds(); n != 1 {
+				t.Fatalf("%s threads=%d: SessionRebuilds = %d, want 1", entry.name, threads, n)
+			}
+			// The rebuilt session must produce correct results.
+			out, err := eng.Infer(context.Background(), in)
+			if err != nil {
+				t.Fatalf("%s threads=%d: post-panic Infer = %v", entry.name, threads, err)
+			}
+			ref, err := mnn.RunReference(tinyModel(t), in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := tensor.MaxAbsDiff(ref["prob"], out["prob"]); d > 1e-4 {
+				t.Fatalf("%s threads=%d: rebuilt session differs from reference by %g", entry.name, threads, d)
+			}
+			eng.Close()
 		}
-		in := tinyInput(t)
-		_, err = eng.Infer(context.Background(), in)
-		if !errors.Is(err, mnn.ErrKernelPanic) {
-			t.Fatalf("threads=%d: Infer = %v, want ErrKernelPanic", threads, err)
-		}
-		var kp *mnn.KernelPanicError
-		if !errors.As(err, &kp) {
-			t.Fatalf("threads=%d: error %v is not a *KernelPanicError", threads, err)
-		}
-		if kp.Op != "conv1" {
-			t.Fatalf("threads=%d: panic attributed to op %q, want conv1", threads, kp.Op)
-		}
-		if len(kp.Stack) == 0 || !strings.Contains(string(kp.Stack), "goroutine") {
-			t.Fatalf("threads=%d: KernelPanicError has no usable stack", threads)
-		}
-		if n := eng.KernelPanics(); n != 1 {
-			t.Fatalf("threads=%d: KernelPanics = %d, want 1", threads, n)
-		}
-		if n := eng.SessionRebuilds(); n != 1 {
-			t.Fatalf("threads=%d: SessionRebuilds = %d, want 1", threads, n)
-		}
-		// The rebuilt session must produce correct results.
-		out, err := eng.Infer(context.Background(), in)
-		if err != nil {
-			t.Fatalf("threads=%d: post-panic Infer = %v", threads, err)
-		}
-		ref, err := mnn.RunReference(tinyModel(t), in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := tensor.MaxAbsDiff(ref["prob"], out["prob"]); d > 1e-4 {
-			t.Fatalf("threads=%d: rebuilt session differs from reference by %g", threads, d)
-		}
-		eng.Close()
 	}
 }
 

@@ -332,19 +332,6 @@ func TestEngineSimulatedClock(t *testing.T) {
 	}
 }
 
-// Regression for the simclock nil-receiver bug at the public API level: a v1
-// session created without Simulate holds a nil clock and must not panic.
-func TestSessionWithoutSimulateClockSafe(t *testing.T) {
-	sess, err := mnn.NewInterpreter(tinyModel(t)).CreateSession(mnn.Config{Threads: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess.ResetSimulatedClock()
-	if sess.SimulatedMs() != 0 {
-		t.Fatal("SimulatedMs without Simulate must be 0")
-	}
-}
-
 func TestEngineWithoutPreparation(t *testing.T) {
 	// The ablation path forces pool size 1 and still matches the reference.
 	eng := openTiny(t, mnn.WithoutPreparation(), mnn.WithPoolSize(4))

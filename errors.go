@@ -5,13 +5,13 @@ import (
 	"fmt"
 )
 
-// Sentinel errors returned by the v2 Engine API. Wrap-aware: test with
+// Sentinel errors returned by the Engine API. Wrap-aware: test with
 // errors.Is, e.g.
 //
 //	if errors.Is(err, mnn.ErrCancelled) { ... }
 var (
-	// ErrUnknownDevice is returned by Open/CreateSession when the requested
-	// simulated device profile does not exist (see Devices()).
+	// ErrUnknownDevice is returned by Open when the requested simulated
+	// device profile does not exist (see Devices()).
 	ErrUnknownDevice = errors.New("mnn: unknown device")
 
 	// ErrUnknownNetwork is returned by Open/BuildNetwork when the requested
@@ -38,8 +38,8 @@ var (
 	// ErrEngineClosed is returned by Engine.Infer after Close.
 	ErrEngineClosed = errors.New("mnn: engine closed")
 
-	// ErrUnknownBackend is returned by Open/CreateSession when the forward
-	// type is unknown or the device lacks the requested GPU API.
+	// ErrUnknownBackend is returned by Open when the forward type is
+	// unknown or the device lacks the requested GPU API.
 	ErrUnknownBackend = errors.New("mnn: unknown or unsupported backend")
 
 	// ErrKernelPanic is returned by Engine.Infer when a kernel panicked

@@ -2,7 +2,7 @@
 // table and figure of the paper's evaluation, each printing the paper's
 // published value next to this reproduction's measured/simulated value.
 //
-// Two kinds of numbers appear (see DESIGN.md):
+// Two kinds of numbers appear:
 //   - "host" rows are real wall-clock measurements of this repository's
 //     kernels on the machine running the benchmark;
 //   - "sim" rows come from the Equation 5 device simulator (phone-grade
@@ -161,6 +161,27 @@ func medianOf(reps int, fn func()) time.Duration {
 		}
 	}
 	return times[len(times)/2]
+}
+
+// minInterleaved runs fns round-robin for the given number of rounds and
+// returns each one's fastest run. Interleaving exposes every candidate to the
+// same host phases, and the minimum discards the slowdowns that contention
+// only ever adds, so comparisons between candidates hold on a loaded host.
+func minInterleaved(rounds int, fns ...func()) []time.Duration {
+	if rounds < 1 {
+		rounds = 1
+	}
+	best := make([]time.Duration, len(fns))
+	for r := 0; r < rounds; r++ {
+		for i, fn := range fns {
+			t0 := time.Now()
+			fn()
+			if d := time.Since(t0); r == 0 || d < best[i] {
+				best[i] = d
+			}
+		}
+	}
+	return best
 }
 
 func ms(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }

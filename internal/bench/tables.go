@@ -39,9 +39,30 @@ var Table1Cases = []Table1Case{
 	{3, 64, 64, 112, [4]float64{895.1, 389.8, 237.4, 236.4}},
 }
 
-// Table1Measure runs one scheme ("sliding", "wino2", "wino6", "ours") for a
-// case on the host and returns the median latency.
-func Table1Measure(c Table1Case, scheme string, threads, reps int) (time.Duration, error) {
+// Table1Schemes are Table 1's columns: sliding window, Winograd with the
+// smallest and largest tile, and the Equation 2–3 choice ("ours").
+var Table1Schemes = []string{"sliding", "wino2", "wino6", "ours"}
+
+// Table1Row measures every scheme of Table1Schemes for a case. The prepared
+// kernels run round-robin and each reports its fastest of rounds runs (see
+// minInterleaved), so the schemes compare fairly on a loaded host.
+func Table1Row(c Table1Case, threads, rounds int) ([]time.Duration, error) {
+	runs := make([]func(), len(Table1Schemes))
+	for i, scheme := range Table1Schemes {
+		run, release, err := table1Runner(c, scheme, threads)
+		if err != nil {
+			return nil, err
+		}
+		defer release()
+		run() // warm up
+		runs[i] = run
+	}
+	return minInterleaved(rounds, runs...), nil
+}
+
+// table1Runner prepares one scheme's kernel for a case and returns its run
+// function and the release of its worker pool.
+func table1Runner(c Table1Case, scheme string, threads int) (run func(), release func(), err error) {
 	a := &graph.Conv2DAttrs{
 		KernelH: c.K, KernelW: c.K, StrideH: 1, StrideW: 1,
 		Group: 1, InputCount: c.IC, OutputCount: c.OC,
@@ -52,13 +73,16 @@ func Table1Measure(c Table1Case, scheme string, threads, reps int) (time.Duratio
 	bias := tensor.NewRandom(9, 0.1, c.OC)
 	oh, ow, err := graph.ConvOutputSize(c.Size, c.Size, a)
 	if err != nil {
-		return 0, err
+		return nil, nil, err
 	}
 	dst := tensor.NewWithLayout(tensor.NC4HW4, 1, c.OC, oh, ow)
 
 	pool := sched.New(threads)
-	defer pool.Close()
-	var run func()
+	defer func() {
+		if err != nil {
+			pool.Close()
+		}
+	}()
 	switch scheme {
 	case "sliding":
 		sc := kernels.PrepareSliding(weight, bias, a)
@@ -70,7 +94,7 @@ func Table1Measure(c Table1Case, scheme string, threads, reps int) (time.Duratio
 		}
 		wc, err := kernels.PrepareWinograd(weight, bias, a, tile, tile)
 		if err != nil {
-			return 0, err
+			return nil, nil, err
 		}
 		ws := make([]float32, wc.WorkspaceSize()*threads)
 		run = func() { wc.Run(dst, src, pool, ws) }
@@ -80,7 +104,7 @@ func Table1Measure(c Table1Case, scheme string, threads, reps int) (time.Duratio
 		case core.SchemeWinograd:
 			wc, err := kernels.PrepareWinograd(weight, bias, a, dec.TileH, dec.TileW)
 			if err != nil {
-				return 0, err
+				return nil, nil, err
 			}
 			ws := make([]float32, wc.WorkspaceSize()*threads)
 			run = func() { wc.Run(dst, src, pool, ws) }
@@ -89,10 +113,9 @@ func Table1Measure(c Table1Case, scheme string, threads, reps int) (time.Duratio
 			run = func() { sc.Run(dst, src, pool) }
 		}
 	default:
-		return 0, fmt.Errorf("bench: unknown scheme %q", scheme)
+		return nil, nil, fmt.Errorf("bench: unknown scheme %q", scheme)
 	}
-	run() // warm up
-	return medianOf(reps, run), nil
+	return run, func() { pool.Close() }, nil
 }
 
 // Table1 reproduces the computation-scheme comparison (host-measured).
@@ -105,14 +128,14 @@ func Table1(opt Options) error {
 	opt.printf("%-22s %12s %12s %12s %12s\n", "conv (k,ic,oc,size)", "Sliding", "WinoMin", "WinoMax", "Ours")
 	for _, c := range Table1Cases {
 		opt.printf("(%d,%d,%d,%d)", c.K, c.IC, c.OC, c.Size)
-		vals := make([]float64, 4)
-		for i, scheme := range []string{"sliding", "wino2", "wino6", "ours"} {
-			d, err := Table1Measure(c, scheme, 1, reps)
-			if err != nil {
-				return err
-			}
+		row, err := Table1Row(c, 1, reps)
+		if err != nil {
+			return err
+		}
+		vals := make([]float64, len(row))
+		for i, d := range row {
 			vals[i] = ms(d)
-			opt.record("table1", fmt.Sprintf("conv(%d,%d,%d,%d)/%s", c.K, c.IC, c.OC, c.Size, scheme),
+			opt.record("table1", fmt.Sprintf("conv(%d,%d,%d,%d)/%s", c.K, c.IC, c.OC, c.Size, Table1Schemes[i]),
 				float64(d.Nanoseconds()), 0)
 		}
 		pad := 22 - len(fmt.Sprintf("(%d,%d,%d,%d)", c.K, c.IC, c.OC, c.Size))
@@ -142,12 +165,12 @@ type Table2Row struct {
 // encoding either happens per run or at pre-inference.
 func Table2Rows(opt Options) ([]Table2Row, error) {
 	g := models.MobileNetV1()
-	reps := 3
+	reps := 5
 	if opt.Quick {
-		reps = 1
+		reps = 3
 	}
 
-	// --- CPU rows: host measured.
+	// --- CPU rows: host measured, the two sessions interleaved.
 	mk := func(noPrep bool) (*session.Session, error) {
 		return session.New(g, session.Config{
 			Backends:      []backend.Backend{cpu.New(cpu.Config{Threads: 4})},
@@ -162,8 +185,6 @@ func Table2Rows(opt Options) ([]Table2Row, error) {
 	if err := prepared.Run(context.Background()); err != nil {
 		return nil, err
 	}
-	withMs := ms(medianOf(reps, func() { _ = prepared.Run(context.Background()) }))
-
 	unprepared, err := mk(true)
 	if err != nil {
 		return nil, err
@@ -171,7 +192,10 @@ func Table2Rows(opt Options) ([]Table2Row, error) {
 	if err := unprepared.Run(context.Background()); err != nil {
 		return nil, err
 	}
-	withoutMs := ms(medianOf(reps, func() { _ = unprepared.Run(context.Background()) }))
+	best := minInterleaved(reps,
+		func() { _ = prepared.Run(context.Background()) },
+		func() { _ = unprepared.Run(context.Background()) })
+	withMs, withoutMs := ms(best[0]), ms(best[1])
 
 	rows := []Table2Row{{Label: "CPU 4-thread (host)", WithoutMs: withoutMs, With: withMs,
 		PaperWithout: 30.9, PaperWith: 28.9}}

@@ -10,9 +10,9 @@ import (
 )
 
 // The JSON frontend is a minimal stand-in for the ONNX/TF/Caffe importers of
-// the real converter (those formats need protobuf, unavailable offline; see
-// DESIGN.md). It is expressive enough to describe every network in the
-// benchmark zoo.
+// the real converter, because those formats need protobuf and the module
+// depends on the standard library only. It is expressive enough to describe
+// every network in the benchmark zoo.
 
 // jsonModel is the top-level document.
 type jsonModel struct {

@@ -4,9 +4,9 @@
 // frequencies, GPU capability is the measured per-GPU FLOPS list, and
 // t_schedule is the per-dispatch driver overhead of each graphics API.
 //
-// Physical phones are unavailable in this reproduction (DESIGN.md,
-// substitution #2), so these profiles drive a simulated clock instead of a
-// real SoC; every number that the paper specifies is used verbatim.
+// Physical phones are unavailable in this reproduction (README "Simulated
+// devices"), so these profiles drive a simulated clock instead of a real
+// SoC; every number that the paper specifies is used verbatim.
 package device
 
 import "fmt"

@@ -3,9 +3,9 @@
 // policies plus calibrated per-operator efficiency factors over the same
 // Equation 5 cost substrate that prices MNN itself.
 //
-// The real binaries cannot run here (no phones, no GPU drivers; DESIGN.md
-// substitution #4), so each baseline is characterized by its published
-// strategy:
+// The real binaries need phones and GPU drivers this reproduction does not
+// have (README "Simulated devices"), so each baseline is characterized by
+// its published strategy:
 //
 //   - NCNN/MACE: manual case-by-case kernels — excellent on the handful of
 //     shapes they hand-optimized, an order of magnitude off elsewhere

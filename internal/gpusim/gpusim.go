@@ -6,9 +6,10 @@
 // command-encoding cost that the preparation–execution decoupling of
 // Section 3.2 moves out of the inference loop (Table 2's experiment).
 //
-// Mobile GPUs and their drivers are unavailable in this reproduction; see
-// DESIGN.md substitutions #2 and #3 for why this preserves the paper's
-// measured behaviour.
+// Mobile GPUs and their drivers are unavailable in this reproduction
+// (README "Simulated devices"); pricing every dispatch with the paper's own
+// Equation 5 and Appendix C constants keeps the relative costs the paper
+// measured.
 package gpusim
 
 import (

@@ -10,7 +10,7 @@ import (
 // NC4HW4 tensors: weights are re-packed at pre-inference time into
 // [oc/4][ic/4][kh][kw][4ic][4oc] order so that the innermost loop is a dense
 // 4×4 multiply-accumulate block — the structure NEON kernels use, expressed
-// in scalar Go (DESIGN.md substitution #1).
+// in scalar Go because the module has no assembly or cgo.
 type SlidingConv struct {
 	attrs  graph.Conv2DAttrs
 	ic, oc int

@@ -7,8 +7,8 @@ package matmul
 // which holds for the hand-scheduled NEON kernels the paper measures. Our
 // pure-Go substitute has a fused multiply-add GEMM whose per-element cost is
 // lower than a memory-bound standalone addition, so recursing all the way to
-// the Eq. 9 bound (31³) loses to the base kernel. A one-time calibration on
-// the development host (see DESIGN.md, substitution #1) found 128 to be the
+// the Eq. 9 bound (31³) loses to the base kernel. A one-time calibration of
+// the pure-Go kernels on an x86 development host found 128 to be the
 // knee: with it, 256³ breaks roughly even and 512³/1024³ win by 15–25%,
 // matching the shape of the paper's Table 3.
 //

@@ -42,7 +42,7 @@ func checkDims(dst, a, b []float32, m, k, n int) {
 
 // gemm is the base kernel: i-p-j loop order so the inner loop streams rows of
 // b and dst, with 4-wide manual unrolling standing in for the NEON SIMD the
-// paper's kernels use (see DESIGN.md substitution #1).
+// paper's kernels use, since the module has no assembly or cgo.
 func gemm(dst, a, b view, accumulate bool) {
 	m, k, n := a.rows, a.cols, b.cols
 	if !accumulate {

@@ -1,6 +1,7 @@
 // Package models builds the benchmark networks of the paper's evaluation:
 // MobileNet-v1/v2, SqueezeNet-v1.0/v1.1, ResNet-18/50 and Inception-v3.
-// Weights are synthetic but deterministic (DESIGN.md substitution #5),
+// Weights are synthetic but deterministic, since no trained checkpoints ship
+// with the module and latency does not depend on weight values; they are
 // scaled by fan-in so activations stay bounded through deep networks.
 package models
 

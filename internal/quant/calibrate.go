@@ -2,6 +2,7 @@ package quant
 
 import (
 	"fmt"
+	"time"
 
 	"mnn/internal/backend"
 	"mnn/internal/cpu"
@@ -41,7 +42,7 @@ func Calibrate(g *graph.Graph, samples []map[string]*tensor.Tensor) (map[string]
 	defer s.Close()
 
 	maxAbsByName := map[string]float32{}
-	observe := func(n *graph.Node, outs []*tensor.Tensor) {
+	observe := func(n *graph.Node, outs []*tensor.Tensor, _ time.Duration) {
 		for i, name := range n.Outputs {
 			if i >= len(outs) || outs[i] == nil {
 				continue

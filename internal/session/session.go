@@ -52,7 +52,7 @@ type runStep struct {
 	copies []copyOp
 	exec   backend.Execution
 	node   *graph.Node
-	outs   []*tensor.Tensor // bound output tensors, for RunObserved
+	outs   []*tensor.Tensor // bound output tensors, for observers
 }
 
 // Stats summarizes what pre-inference decided.
@@ -422,7 +422,7 @@ func (s *Session) Stats() Stats { return s.stats }
 func (s *Session) Shapes() graph.ShapeMap { return s.shapes }
 
 // prepareFresh clears backend state and re-runs preparation (the
-// NoPreparation path, and Resize).
+// NoPreparation path).
 func (s *Session) prepareFresh() error {
 	saved := map[string]*tensor.Tensor{}
 	for name, t := range s.inputs {
@@ -454,6 +454,13 @@ func ctxDone(ctx context.Context) (<-chan struct{}, error) {
 	return ctx.Done(), nil
 }
 
+// StepObserver watches an observed run node by node: after each node
+// executes it receives the node, its bound output tensors (still
+// backend-resident, in the backend's preferred layout — read, don't retain:
+// the arena recycles them as the run proceeds) and the host wall time of the
+// step, staging copies included.
+type StepObserver func(n *graph.Node, outputs []*tensor.Tensor, wall time.Duration)
+
 // Run executes one inference. With preparation decoupled (the default) this
 // is pure compute plus staging copies; with NoPreparation it interleaves
 // planning, allocation and weight packing, reproducing the "w/o" rows of
@@ -466,12 +473,11 @@ func (s *Session) Run(ctx context.Context) error {
 	return s.RunObserved(ctx, nil)
 }
 
-// RunObserved is Run with a per-node observation hook: after each node
-// executes, observe is called with the node and its bound output tensors
-// (still backend-resident, in the backend's preferred layout — read, don't
-// retain: the arena recycles them as the run proceeds). The calibration pass
-// uses this to record activation ranges without disabling memory reuse.
-func (s *Session) RunObserved(ctx context.Context, observe func(n *graph.Node, outputs []*tensor.Tensor)) error {
+// RunObserved is Run calling observe (when non-nil) after every node. It is
+// the session's only run loop: the calibration pass records activation
+// ranges through it without disabling memory reuse, and RunProfiled times
+// each operator with it. A nil observer costs a nil check per node.
+func (s *Session) RunObserved(ctx context.Context, observe StepObserver) error {
 	if s.cfg.NoPreparation {
 		if err := s.prepareFresh(); err != nil {
 			return err
@@ -498,11 +504,15 @@ func (s *Session) RunObserved(ctx context.Context, observe func(n *graph.Node, o
 			default:
 			}
 		}
+		var t0 time.Time
+		if observe != nil {
+			t0 = time.Now()
+		}
 		if err := s.execStep(st); err != nil {
 			return err
 		}
 		if observe != nil {
-			observe(st.node, st.outs)
+			observe(st.node, st.outs, time.Since(t0))
 		}
 	}
 	return nil
@@ -558,21 +568,5 @@ func (s *Session) Close() error {
 			}
 		}
 	}
-	return nil
-}
-
-// Resize re-runs pre-inference with new input shapes.
-func (s *Session) Resize(inputShapes map[string][]int) error {
-	s.cfg.InputShapes = inputShapes
-	s.inputs = nil
-	s.outputs = nil
-	for _, b := range s.backends {
-		b.OnClearBuffer()
-	}
-	start := time.Now()
-	if err := s.prepare(); err != nil {
-		return err
-	}
-	s.stats.PrepareTime = time.Since(start)
 	return nil
 }

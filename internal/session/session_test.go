@@ -10,9 +10,11 @@ import (
 	"mnn/internal/backend"
 	"mnn/internal/cpu"
 	"mnn/internal/device"
+	"mnn/internal/fault"
 	"mnn/internal/gpusim"
 	"mnn/internal/graph"
 	"mnn/internal/models"
+	"mnn/internal/sched"
 	"mnn/internal/simclock"
 	"mnn/internal/tensor"
 )
@@ -266,18 +268,16 @@ func TestSessionRepeatedRunsStable(t *testing.T) {
 	}
 }
 
-func TestSessionResize(t *testing.T) {
+func TestSessionInputShapes(t *testing.T) {
 	g := smallCNN()
-	s, err := New(g, Config{Backends: []backend.Backend{cpu.New(cpu.Config{Threads: 1})}})
+	s, err := New(g, Config{Backends: []backend.Backend{cpu.New(cpu.Config{Threads: 1})},
+		InputShapes: map[string][]int{"data": {1, 3, 32, 32}}})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Resize(map[string][]int{"data": {1, 3, 32, 32}}); err != nil {
 		t.Fatal(err)
 	}
 	in := s.Input("data")
 	if !tensor.EqualShape(in.Shape(), []int{1, 3, 32, 32}) {
-		t.Fatalf("input shape after resize: %v", in.Shape())
+		t.Fatalf("input shape with override: %v", in.Shape())
 	}
 	fillInput(s, "data", 11)
 	if err := s.Run(context.Background()); err != nil {
@@ -291,7 +291,7 @@ func TestSessionResize(t *testing.T) {
 		t.Fatal(err)
 	}
 	if d := tensor.MaxAbsDiff(outs["prob"], s.Output("prob")); d > 1e-3 {
-		t.Fatalf("resized output differs by %g", d)
+		t.Fatalf("overridden-shape output differs by %g", d)
 	}
 }
 
@@ -457,5 +457,41 @@ func TestRunHonoursContext(t *testing.T) {
 	// The session stays usable after a cancelled run.
 	if err := s.Run(context.Background()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestObservedRunHitsKernelFaultSite pins that every run path — plain,
+// observed (the calibration pass) and profiled — executes each node through
+// the per-node barrier: an injected kernel panic at the session.kernel site
+// comes back as an error naming the node, on the run that hit it.
+func TestObservedRunHitsKernelFaultSite(t *testing.T) {
+	observe := func(*graph.Node, []*tensor.Tensor, time.Duration) {}
+	for name, run := range map[string]func(*Session) error{
+		"Run":         func(s *Session) error { return s.Run(context.Background()) },
+		"RunObserved": func(s *Session) error { return s.RunObserved(context.Background(), observe) },
+		"RunProfiled": func(s *Session) error { _, err := s.RunProfiled(context.Background()); return err },
+	} {
+		plan, err := fault.ParsePlan(1, "session.kernel=panic,count=1,match=conv1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := New(smallCNN(), Config{
+			Backends: []backend.Backend{cpu.New(cpu.Config{Threads: 1})},
+			Fault:    fault.NewInjector(plan),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fillInput(s, "data", 3)
+		err = run(s)
+		var pe *sched.PanicError
+		if !errors.As(err, &pe) || pe.Op != "conv1" {
+			t.Fatalf("%s: err = %v, want a contained panic at conv1", name, err)
+		}
+		// count=1: the fault fired on this run, so the next one is clean.
+		if err := run(s); err != nil {
+			t.Fatalf("%s: second run = %v", name, err)
+		}
+		s.Close()
 	}
 }

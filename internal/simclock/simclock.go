@@ -7,7 +7,7 @@
 //
 // milliseconds, optionally scaled by a per-engine/per-scheme efficiency
 // factor. This is how phone-grade latency numbers are produced without
-// phones (DESIGN.md, substitution #2); host wall-clock time is measured
+// phones (README "Simulated devices"); host wall-clock time is measured
 // separately and reported alongside.
 package simclock
 

@@ -1,7 +1,7 @@
 // Package mnn is a pure-Go reproduction of MNN, the universal and efficient
 // mobile inference engine of Jiang et al. (MLSys 2020).
 //
-// The v2 API exposes the engine as a concurrent facade:
+// The API exposes the engine as a concurrent facade:
 //
 //	eng, _ := mnn.Open("mobilenet-v1", mnn.WithThreads(4), mnn.WithPoolSize(4))
 //	defer eng.Close()
@@ -14,17 +14,12 @@
 // (Winograd weight transforms, packed kernels, command buffers) — once per
 // pooled session. Infer is then pure compute, safe from any number of
 // goroutines, and honours context cancellation between pipeline operators.
-//
-// The v1 Interpreter/Session API remains as thin deprecated wrappers over
-// the same core.
 package mnn
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"os"
-	"time"
 
 	"mnn/internal/converter"
 	"mnn/internal/core"
@@ -34,7 +29,6 @@ import (
 	"mnn/internal/optimizer"
 	"mnn/internal/quant"
 	"mnn/internal/session"
-	"mnn/internal/simclock"
 	"mnn/internal/tensor"
 )
 
@@ -69,43 +63,6 @@ const (
 	ForwardVulkan
 )
 
-// Config parameterizes CreateSession.
-//
-// Deprecated: use Open with functional options (WithThreads, WithDevice, …)
-// instead.
-type Config struct {
-	// Type selects the backend family (default ForwardAuto).
-	Type ForwardType
-	// Threads is the CPU worker count (default 1; the paper evaluates
-	// 1, 2 and 4).
-	Threads int
-	// DeviceName selects a simulated device profile from Devices()
-	// ("MI6", "Mate20", …). Empty means the host: no GPU simulation, cost
-	// model uses generic constants.
-	DeviceName string
-	// Simulate attaches a simulated clock charging the paper's Equation 5
-	// costs; read it back with Session.SimulatedMs.
-	Simulate bool
-	// NoPreparation disables preparation–execution decoupling (Table 2's
-	// ablation): every Run re-plans memory and re-creates kernels.
-	NoPreparation bool
-	// InputShapes overrides declared input shapes.
-	InputShapes map[string][]int
-}
-
-// Interpreter holds a model, ready to create sessions (mirrors
-// MNN::Interpreter).
-//
-// Deprecated: use Open, which prepares a concurrent Engine directly.
-type Interpreter struct {
-	g *graph.Graph
-}
-
-// NewInterpreter wraps a graph.
-//
-// Deprecated: use Open(g) instead.
-func NewInterpreter(g *Graph) *Interpreter { return &Interpreter{g: g} }
-
 // LoadGraph reads a serialized .mnng model into a graph.
 func LoadGraph(r io.Reader) (*Graph, error) { return converter.Load(r) }
 
@@ -119,112 +76,8 @@ func LoadGraphFile(path string) (*Graph, error) {
 	return converter.Load(f)
 }
 
-// LoadModel reads a serialized .mnng model.
-//
-// Deprecated: use LoadGraph (for the graph) or Open (for an engine) instead.
-func LoadModel(r io.Reader) (*Interpreter, error) {
-	g, err := converter.Load(r)
-	if err != nil {
-		return nil, err
-	}
-	return &Interpreter{g: g}, nil
-}
-
-// LoadModelFile reads a serialized model from disk.
-//
-// Deprecated: use LoadGraphFile or Open(path) instead.
-func LoadModelFile(path string) (*Interpreter, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return LoadModel(f)
-}
-
-// Graph exposes the underlying graph (e.g. for inspection or export).
-func (ip *Interpreter) Graph() *Graph { return ip.g }
-
-// Session is a prepared inference pipeline bound to backends.
-//
-// Deprecated: use Engine, whose Infer method is additionally safe for
-// concurrent use and context-aware.
-type Session struct {
-	s     *session.Session
-	clock *simclock.Clock
-}
-
-// CreateSession runs pre-inference for the given configuration. It is a
-// thin wrapper over the same core Open uses (pool size 1, no checkout).
-//
-// Deprecated: use Open with functional options instead.
-func (ip *Interpreter) CreateSession(cfg Config) (*Session, error) {
-	ec := engineConfig{
-		forward:     cfg.Type,
-		threads:     cfg.Threads,
-		deviceName:  cfg.DeviceName,
-		simulate:    cfg.Simulate,
-		poolSize:    1,
-		inputShapes: cfg.InputShapes,
-		noPrep:      cfg.NoPreparation,
-	}
-	if ec.threads < 1 {
-		ec.threads = 1
-	}
-	var clock *simclock.Clock
-	if cfg.Simulate {
-		clock = simclock.New()
-	}
-	s, err := newPreparedSession(ip.g, ec, clock)
-	if err != nil {
-		return nil, err
-	}
-	return &Session{s: s, clock: clock}, nil
-}
-
-// Input returns the writable input tensor.
-func (s *Session) Input(name string) *Tensor { return s.s.Input(name) }
-
-// Output returns an output tensor (valid after Run).
-func (s *Session) Output(name string) *Tensor { return s.s.Output(name) }
-
-// OutputNames lists declared outputs.
-func (s *Session) OutputNames() []string { return s.s.OutputNames() }
-
-// Run executes one inference.
-func (s *Session) Run() error { return s.s.Run(context.Background()) }
-
-// Close releases the session's persistent worker pool. The session keeps
-// working afterwards with inline (single-threaded) execution. Idempotent.
-func (s *Session) Close() error { return s.s.Close() }
-
-// RunTimed executes one inference and returns the host wall time.
-func (s *Session) RunTimed() (time.Duration, error) {
-	t0 := time.Now()
-	err := s.s.Run(context.Background())
-	return time.Since(t0), err
-}
-
 // Profile is a per-operator timing breakdown (see Engine.InferProfiled).
 type Profile = session.Profile
-
-// RunProfiled executes one inference measuring every operator.
-func (s *Session) RunProfiled() (*Profile, error) {
-	return s.s.RunProfiled(context.Background())
-}
-
-// SimulatedMs returns the accumulated simulated time (Config.Simulate).
-func (s *Session) SimulatedMs() float64 { return s.clock.TotalMs() }
-
-// ResetSimulatedClock zeroes the simulated clock.
-func (s *Session) ResetSimulatedClock() { s.clock.Reset() }
-
-// Stats returns pre-inference statistics (backend assignment, scheme
-// counts, arena sizes).
-func (s *Session) Stats() SessionStats { return s.s.Stats() }
-
-// Resize re-runs pre-inference for new input shapes.
-func (s *Session) Resize(shapes map[string][]int) error { return s.s.Resize(shapes) }
 
 // --- model utilities ---
 

@@ -2,6 +2,8 @@ package mnn_test
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -51,18 +53,18 @@ func TestQuickstartWorkflow(t *testing.T) {
 	if err := mnn.Optimize(g); err != nil {
 		t.Fatal(err)
 	}
-	sess, err := mnn.NewInterpreter(g).CreateSession(mnn.Config{Threads: 2})
+	eng, err := mnn.Open(g, mnn.WithThreads(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := sess.Input("data")
-	tmp := tensor.New(in.Shape()...)
-	tensor.FillRandom(tmp, 42, 1)
-	in.CopyFrom(tmp)
-	if err := sess.Run(); err != nil {
+	defer eng.Close()
+	in := tensor.New(eng.InputShape("data")...)
+	tensor.FillRandom(in, 42, 1)
+	outs, err := eng.Infer(context.Background(), map[string]*mnn.Tensor{"data": in})
+	if err != nil {
 		t.Fatal(err)
 	}
-	out := sess.Output("prob")
+	out := outs["prob"]
 	var sum float64
 	for _, v := range out.Data() {
 		sum += float64(v)
@@ -71,7 +73,7 @@ func TestQuickstartWorkflow(t *testing.T) {
 		t.Fatalf("softmax sum %v", sum)
 	}
 	// Must agree with the reference oracle.
-	ref, err := mnn.RunReference(tinyModel(t), map[string]*mnn.Tensor{"data": tmp})
+	ref, err := mnn.RunReference(tinyModel(t), map[string]*mnn.Tensor{"data": in})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,29 +88,20 @@ func TestSaveLoadFileRoundTrip(t *testing.T) {
 	if err := mnn.SaveModelFile(g, path); err != nil {
 		t.Fatal(err)
 	}
-	ip, err := mnn.LoadModelFile(path)
+	loaded, err := mnn.LoadGraphFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ip.Graph().Nodes) != len(g.Nodes) {
+	if len(loaded.Nodes) != len(g.Nodes) {
 		t.Fatal("node count changed through file round trip")
 	}
-	if _, err := mnn.LoadModelFile(filepath.Join(t.TempDir(), "missing.mnng")); err == nil {
-		t.Fatal("expected error for missing file")
+	missing := filepath.Join(t.TempDir(), "missing.mnng")
+	if _, err := mnn.LoadGraphFile(missing); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("LoadGraphFile(missing) = %v, want os.ErrNotExist", err)
 	}
-	if !os.IsNotExist(func() error {
-		_, err := mnn.LoadModelFile(filepath.Join(t.TempDir(), "missing.mnng"))
-		return unwrapPathError(err)
-	}()) {
-		t.Log("note: missing-file error is wrapped; acceptable")
+	if _, err := mnn.Open(missing); !errors.Is(err, mnn.ErrUnknownNetwork) {
+		t.Fatalf("Open(missing) = %v, want ErrUnknownNetwork", err)
 	}
-}
-
-func unwrapPathError(err error) error {
-	if pe, ok := err.(*os.PathError); ok {
-		return pe
-	}
-	return err
 }
 
 func TestQuantizedSessionStillWorks(t *testing.T) {
@@ -121,63 +114,61 @@ func TestQuantizedSessionStillWorks(t *testing.T) {
 	if err := mnn.SaveModel(g, &buf); err != nil {
 		t.Fatal(err)
 	}
-	ip, err := mnn.LoadModel(&buf)
+	loaded, err := mnn.LoadGraph(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := ip.CreateSession(mnn.Config{Threads: 1})
+	eng, err := mnn.Open(loaded, mnn.WithThreads(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tmp := tensor.New(1, 3, 16, 16)
-	tensor.FillRandom(tmp, 7, 1)
-	sess.Input("data").CopyFrom(tmp)
-	if err := sess.Run(); err != nil {
+	defer eng.Close()
+	in := tensor.New(1, 3, 16, 16)
+	tensor.FillRandom(in, 7, 1)
+	out, err := eng.Infer(context.Background(), map[string]*mnn.Tensor{"data": in})
+	if err != nil {
 		t.Fatal(err)
 	}
 	// int8 quantization error on this tiny model should stay small.
-	ref, err := mnn.RunReference(tinyModel(t), map[string]*mnn.Tensor{"data": tmp})
+	ref, err := mnn.RunReference(tinyModel(t), map[string]*mnn.Tensor{"data": in})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := tensor.MaxAbsDiff(ref["prob"], sess.Output("prob")); d > 0.05 {
+	if d := tensor.MaxAbsDiff(ref["prob"], out["prob"]); d > 0.05 {
 		t.Fatalf("quantized output error %g", d)
 	}
 }
 
 func TestSimulatedDeviceSession(t *testing.T) {
-	g := tinyModel(t)
-	sess, err := mnn.NewInterpreter(g).CreateSession(mnn.Config{
-		Type: mnn.ForwardVulkan, Threads: 2, DeviceName: "MI6", Simulate: true,
-	})
+	eng, err := mnn.Open(tinyModel(t), mnn.WithForwardType(mnn.ForwardVulkan), mnn.WithThreads(2),
+		mnn.WithDevice("MI6"), mnn.WithSimulatedClock())
 	if err != nil {
 		t.Fatal(err)
 	}
-	tmp := tensor.New(1, 3, 16, 16)
-	tensor.FillRandom(tmp, 9, 1)
-	sess.Input("data").CopyFrom(tmp)
-	sess.ResetSimulatedClock()
-	if err := sess.Run(); err != nil {
+	defer eng.Close()
+	in := tensor.New(1, 3, 16, 16)
+	tensor.FillRandom(in, 9, 1)
+	eng.ResetSimulatedClock()
+	if _, err := eng.Infer(context.Background(), map[string]*mnn.Tensor{"data": in}); err != nil {
 		t.Fatal(err)
 	}
-	if sess.SimulatedMs() <= 0 {
+	if eng.SimulatedMs() <= 0 {
 		t.Fatal("simulated clock must advance")
 	}
 }
 
 func TestConfigErrors(t *testing.T) {
 	g := tinyModel(t)
-	ip := mnn.NewInterpreter(g)
-	if _, err := ip.CreateSession(mnn.Config{DeviceName: "NokiaBrick"}); err == nil {
-		t.Error("unknown device must fail")
+	if _, err := mnn.Open(g, mnn.WithDevice("NokiaBrick")); !errors.Is(err, mnn.ErrUnknownDevice) {
+		t.Errorf("unknown device = %v, want ErrUnknownDevice", err)
 	}
 	// Metal on an Android profile must fail.
-	if _, err := ip.CreateSession(mnn.Config{Type: mnn.ForwardMetal, DeviceName: "MI6"}); err == nil {
-		t.Error("Metal on MI6 must fail")
+	if _, err := mnn.Open(g, mnn.WithForwardType(mnn.ForwardMetal), mnn.WithDevice("MI6")); !errors.Is(err, mnn.ErrUnknownBackend) {
+		t.Errorf("Metal on MI6 = %v, want ErrUnknownBackend", err)
 	}
 	// GPU forward type without a device (host has no GPU sim) must fail.
-	if _, err := ip.CreateSession(mnn.Config{Type: mnn.ForwardVulkan}); err == nil {
-		t.Error("Vulkan on host must fail")
+	if _, err := mnn.Open(g, mnn.WithForwardType(mnn.ForwardVulkan)); !errors.Is(err, mnn.ErrUnknownBackend) {
+		t.Errorf("Vulkan on host = %v, want ErrUnknownBackend", err)
 	}
 }
 
@@ -199,22 +190,29 @@ func TestNetworksAndDevicesLists(t *testing.T) {
 	}
 }
 
-func TestSessionResizePublicAPI(t *testing.T) {
-	g := tinyModel(t)
-	sess, err := mnn.NewInterpreter(g).CreateSession(mnn.Config{Threads: 1})
+// TestEngineWithInputShapes prepares an engine at an input shape other than
+// the declared one and checks it against the reference at that shape.
+func TestEngineWithInputShapes(t *testing.T) {
+	eng, err := mnn.Open(tinyModel(t), mnn.WithThreads(1),
+		mnn.WithInputShapes(map[string][]int{"data": {1, 3, 32, 32}}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sess.Resize(map[string][]int{"data": {1, 3, 32, 32}}); err != nil {
+	defer eng.Close()
+	if !tensor.EqualShape(eng.InputShape("data"), []int{1, 3, 32, 32}) {
+		t.Fatalf("prepared input shape %v, want [1 3 32 32]", eng.InputShape("data"))
+	}
+	in := tensor.New(1, 3, 32, 32)
+	tensor.FillRandom(in, 11, 1)
+	out, err := eng.Infer(context.Background(), map[string]*mnn.Tensor{"data": in})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !tensor.EqualShape(sess.Input("data").Shape(), []int{1, 3, 32, 32}) {
-		t.Fatal("resize not applied")
-	}
-	tmp := tensor.New(1, 3, 32, 32)
-	tensor.FillRandom(tmp, 11, 1)
-	sess.Input("data").CopyFrom(tmp)
-	if err := sess.Run(); err != nil {
+	ref, err := mnn.RunReference(tinyModel(t), map[string]*mnn.Tensor{"data": in})
+	if err != nil {
 		t.Fatal(err)
+	}
+	if d := tensor.MaxAbsDiff(ref["prob"], out["prob"]); d > 1e-4 {
+		t.Fatalf("engine at 32x32 differs from reference by %g", d)
 	}
 }

@@ -177,8 +177,8 @@ func ParsePrecision(s string) (Precision, error) {
 	}
 }
 
-// WithInputShapes overrides the declared input shapes before pre-inference
-// (the v2 equivalent of Config.InputShapes / Session.Resize at open time).
+// WithInputShapes overrides the declared input shapes before pre-inference,
+// so the engine is prepared for, and only accepts, the given shapes.
 func WithInputShapes(shapes map[string][]int) Option {
 	return func(c *engineConfig) error {
 		cp := make(map[string][]int, len(shapes))
